@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-shards bench bench-shards-smoke joinbench bench-sim bench-serve bench-serve-smoke bench-check serve-smoke deploy-gate obs-guard obs-export-smoke fuzz-smoke profile trace-e1 verify
+.PHONY: all build test vet race bench joinbench bench-sim bench-serve bench-serve-smoke bench-check serve-smoke perfbench-smoke obs-guard obs-export-smoke fuzz-smoke profile trace-e1 verify
 
 all: verify
 
@@ -20,21 +20,8 @@ vet:
 race:
 	$(GO) test -race ./internal/livenet/... ./internal/core/... ./internal/serve/...
 
-# The sharded scheduler runs shard windows on concurrent goroutines;
-# prove the parallel path race-free on its gates: the nsim partition
-# property tests, the E1/E5/E7 determinism gates, and the Shards=4
-# differential sweep.
-race-shards:
-	$(GO) test -race -count=1 -run 'Shard' ./internal/nsim/ ./internal/experiments/ ./internal/check/
-
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
-
-# Wall-clock-free stand-in for the sharded-scheduler bench: pins the
-# deterministic fold count (barriers per 1k events) and the elision
-# rate on the exact workload the benchcheck sharding gate measures.
-bench-shards-smoke:
-	$(GO) test -run 'TestShardBarrierBudget' -count=1 -v ./internal/experiments/
 
 # Regenerate the headline indexed-vs-naive join metrics.
 joinbench:
@@ -77,17 +64,11 @@ bench-serve-smoke:
 serve-smoke:
 	$(GO) test -run 'TestServeSmoke' -count=1 -v ./internal/serve/
 
-# DeployGrid/DeployRandom are deprecated shims; deploy_compat_test.go
-# pins them equivalent to Deploy(Grid(m)/Random(...)) and snlog.go
-# defines them — no other call site may creep back in.
-deploy-gate:
-	@if grep -rn --include='*.go' -E '\bDeployGrid\(|\bDeployRandom\(' . \
-		| grep -v -e '^\./snlog.go:' -e '^\./deploy_compat_test.go:'; then \
-		echo 'deploy-gate: deprecated DeployGrid/DeployRandom call sites above — use Deploy(Grid(m), ...) / Deploy(Random(...), ...)'; \
-		exit 1; \
-	else \
-		echo 'deploy-gate: no deprecated deploy call sites'; \
-	fi
+# perfbench is its own Go module (it imports internal/nsim and
+# internal/core), so the root `go test ./...` never builds it; vet it
+# and run its smoke tests here.
+perfbench-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The disabled-observability overhead guards: the E1 m=18 hot loop must
 # stay at the PR 2 allocation baseline when Observe was never called,
@@ -128,4 +109,4 @@ profile:
 trace-e1:
 	$(GO) run ./cmd/snbench -trace trace_e1.jsonl
 
-verify: build test vet race race-shards bench-shards-smoke bench-serve-smoke serve-smoke deploy-gate obs-guard obs-export-smoke fuzz-smoke bench-check
+verify: build test vet race bench-serve-smoke serve-smoke perfbench-smoke obs-guard obs-export-smoke fuzz-smoke bench-check

@@ -15,12 +15,6 @@
 //   - events_per_sec_fast: wall-clock throughput is noisy on shared
 //     machines, so only a regression beyond the (wider) throughput
 //     tolerance fails; improvements always pass.
-//   - sharding rows (matched by shard count, single-threaded row
-//     excluded): speedup is timing-based and gated regression-only like
-//     throughput; barriers_per_1k_events is deterministic and gated
-//     increase-only — more mid-run folds per event means the fold
-//     elision regressed — with a small absolute slack so a zero
-//     baseline stays gateable.
 //
 // With -serve-baseline/-serve-candidate it additionally gates the
 // query-serving benchmark (BENCH_serve.json, experiment E16):
@@ -74,19 +68,11 @@ import (
 // metric does not break the build before the baseline is refreshed —
 // present keys keep their full gates.
 type simBench struct {
-	Events           *int64     `json:"events"`
-	AllocsPerEvent   *float64   `json:"allocs_per_event_fast"`
-	EventsPerSecFast *float64   `json:"events_per_sec_fast"`
-	Sharding         []shardRow `json:"sharding"`
-	NumCPU           *int       `json:"num_cpu"`
-	GoMaxProcs       *int       `json:"gomaxprocs"`
-}
-
-// shardRow mirrors the gated subset of experiments.SimShardRow.
-type shardRow struct {
-	Shards        *int     `json:"shards"`
-	Speedup       *float64 `json:"speedup"`
-	BarriersPer1k *float64 `json:"barriers_per_1k_events"`
+	Events           *int64   `json:"events"`
+	AllocsPerEvent   *float64 `json:"allocs_per_event_fast"`
+	EventsPerSecFast *float64 `json:"events_per_sec_fast"`
+	NumCPU           *int     `json:"num_cpu"`
+	GoMaxProcs       *int     `json:"gomaxprocs"`
 }
 
 // serveBench mirrors the gated subset of experiments.ServeBenchResult's
@@ -236,52 +222,6 @@ func main() {
 			fmt.Printf("ok    throughput: %.0f events/s vs baseline %.0f (%+.1f%%)\n",
 				*cand.EventsPerSecFast, *base.EventsPerSecFast,
 				100*relDiff(*base.EventsPerSecFast, *cand.EventsPerSecFast))
-		}
-	}
-
-	candRows := make(map[int]shardRow)
-	for _, r := range cand.Sharding {
-		if r.Shards != nil {
-			candRows[*r.Shards] = r
-		}
-	}
-	if len(base.Sharding) == 0 {
-		fmt.Printf("warn  sharding: absent from baseline %s — refresh it to gate the sharded scheduler\n", *baseline)
-	} else {
-		for _, br := range base.Sharding {
-			if br.Shards == nil || *br.Shards <= 1 {
-				continue // the single-threaded anchor row gates nothing
-			}
-			n := *br.Shards
-			cr, ok := candRows[n]
-			if !ok {
-				fail("sharding[shards=%d]: present in baseline but missing from candidate %s", n, *candidate)
-				continue
-			}
-			name := fmt.Sprintf("shard%d speedup", n)
-			if !missing(name, br.Speedup != nil, cr.Speedup != nil) {
-				if d := relDiff(*br.Speedup, *cr.Speedup); d < -*thrTol {
-					fail("%s: %.3fx, baseline %.3fx (%.1f%% regression beyond %.0f%% noise floor)",
-						name, *cr.Speedup, *br.Speedup, -100*d, 100**thrTol)
-				} else {
-					fmt.Printf("ok    %s: %.3fx vs baseline %.3fx (%+.1f%%)\n",
-						name, *cr.Speedup, *br.Speedup, 100*relDiff(*br.Speedup, *cr.Speedup))
-				}
-			}
-			name = fmt.Sprintf("shard%d barriers/1k", n)
-			if !missing(name, br.BarriersPer1k != nil, cr.BarriersPer1k != nil) {
-				// Increase-only: the count is deterministic, so growth means
-				// folds the elision used to skip came back. The 0.5 absolute
-				// slack keeps a zero baseline from failing on any nonzero
-				// candidate rounding.
-				limit := *br.BarriersPer1k*(1+*tol) + 0.5
-				if *cr.BarriersPer1k > limit {
-					fail("%s: %.2f, baseline %.2f — fold elision regressed (limit %.2f)",
-						name, *cr.BarriersPer1k, *br.BarriersPer1k, limit)
-				} else {
-					fmt.Printf("ok    %s: %.2f vs baseline %.2f\n", name, *cr.BarriersPer1k, *br.BarriersPer1k)
-				}
-			}
 		}
 	}
 

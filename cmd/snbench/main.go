@@ -56,7 +56,6 @@ func main() {
 	explain := flag.String("explain", "", "explain a derived tuple of the E5 shortest-path run, e.g. 'j(n3,3)': print its derivation tree and critical path, then exit")
 	explainDOT := flag.String("explain-dot", "", "with -explain, also write the derivation DAG as Graphviz DOT to this file")
 	hist := flag.Bool("hist", false, "run the observed E1 workload with provenance attached and print the latency/hop/fan-in/queue histograms, then exit")
-	shards := flag.Int("shards", 0, "with -simjson, sweep the sharded scheduler over {1, N} instead of the default {1, 2, 4, 8}")
 	flag.Parse()
 
 	if *explain != "" {
@@ -88,7 +87,7 @@ func main() {
 		if *quick {
 			reps = 2
 		}
-		res := experiments.SimBench(reps, *shards)
+		res := experiments.SimBench(reps)
 		data, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "snbench: %v\n", err)
@@ -101,11 +100,8 @@ func main() {
 		}
 		last := res.Finalize[len(res.Finalize)-1]
 		bat := res.Batching[0]
-		fmt.Printf("sim A/B: finalize n=%d %.1fx, %.0f events/s vs %.0f legacy (%.2fx), %.2f vs %.2f allocs/event (-%.0f%%), batching -%.0f%% msgs\n",
-			last.Nodes, last.Speedup,
-			res.EventsPerSecFast, res.EventsPerSecLegacy, res.EventThroughputGain,
-			res.AllocsPerEventFast, res.AllocsPerEventLegacy, res.AllocReduxPct,
-			bat.MsgReduxPct)
+		fmt.Printf("sim: finalize n=%d %.2f ms, %.0f events/s, %.2f allocs/event, batching -%.0f%% msgs\n",
+			last.Nodes, last.GridMs, res.EventsPerSecFast, res.AllocsPerEventFast, bat.MsgReduxPct)
 		return
 	}
 

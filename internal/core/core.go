@@ -81,11 +81,6 @@ type Config struct {
 	// batching disabled. The final derived database is identical either
 	// way (see TestBatchLinksEquivalence).
 	BatchLinks bool
-	// LegacyRouting bypasses the per-engine nearest-node cache and calls
-	// the stateless routing functions on every hop, restoring the
-	// pre-cache rescan behavior. Results are identical; retained (like
-	// NaiveJoin) so the cache can be A/B benchmarked.
-	LegacyRouting bool
 	// NodeTerm names a node as a term for placement-based storage; the
 	// default is the symbol n<id>.
 	NodeTerm func(n *nsim.Node) ast.Term
@@ -96,13 +91,6 @@ type Config struct {
 	// overhead on fault-free runs and would perturb the allocation
 	// baselines.
 	ReplayLog bool
-	// Shards, when ≥ 2, runs the simulator's sharded scheduler with that
-	// many spatial shards (forwarded to nsim via SetShards, since New
-	// runs before nw.Finalize) and attaches the engine's per-shard state:
-	// one routing cache per shard plus result/trace buffers folded
-	// deterministically at window barriers (shard.go). 0 or 1 keeps the
-	// single-threaded scheduler with byte-identical results.
-	Shards int
 }
 
 func (c *Config) fill(nw *nsim.Network) {
@@ -188,13 +176,7 @@ type Engine struct {
 	// router caches nearest-node lookups for the geographic-unicast
 	// termination test, which every walker hop performs.
 	router *routing.Engine
-	// shards holds the engine's per-shard state when the network runs the
-	// sharded scheduler: a private routing cache per shard (the shared
-	// cache's map would race) plus result buffers drained at real window
-	// barriers (shard.go). Empty on single-threaded runs.
-	shards []engineShard
-	// aggMu serializes writes to aggResults: aggregation sinks finalize
-	// epochs on their own shards' goroutines.
+	// aggMu serializes writes to aggResults.
 	aggMu sync.Mutex
 
 	rules     []*compiledRule
@@ -282,9 +264,6 @@ func New(nw *nsim.Network, prog *ast.Program, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	cfg.fill(nw)
-	if cfg.Shards > 0 {
-		nw.SetShards(cfg.Shards)
-	}
 	e := &Engine{
 		nw:           nw,
 		prog:         prog,
@@ -513,7 +492,6 @@ func (e *Engine) sameXYComponent(a, b string) bool {
 // Start injects the program's facts (at their placement nodes, or their
 // geographic home for hash-placed predicates). Call after nw.Finalize.
 func (e *Engine) Start() {
-	e.attachShards()
 	for _, f := range e.prog.Facts() {
 		f := f
 		t := eval.Tuple{Pred: f.Head.PredKey(), Args: f.Head.Args}

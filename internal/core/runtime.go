@@ -102,10 +102,10 @@ type candProv struct {
 
 // BumpHop implements nsim.HopCounter: the simulator calls it once per
 // transmitted frame when hop stamping is enabled, so a settled
-// candidate knows how many radio transmissions its route took. The
-// count is atomic: a duplicated delivery can put two references to the
-// same candidate in flight, and under the sharded scheduler those can
-// migrate to different shards and transmit concurrently.
+// candidate knows how many radio transmissions its route took. A
+// duplicated delivery can put two references to the same candidate in
+// flight, and both bump the one shared count, which is updated
+// atomically.
 func (rm *resultMsg) BumpHop() {
 	if rm.Cand != nil && rm.Cand.Prov != nil {
 		atomic.AddInt32(&rm.Cand.Prov.Hops, 1)
@@ -160,10 +160,6 @@ type updateRec struct {
 type nodeRT struct {
 	e    *Engine
 	node *nsim.Node
-	// es points at this node's shard state under the sharded scheduler
-	// (shard.go): a per-shard routing cache plus result/trace buffers.
-	// Nil on single-threaded runs.
-	es *engineShard
 
 	store *window.Store
 	seq   int64
@@ -333,7 +329,7 @@ func (rt *nodeRT) generate(t eval.Tuple, del *window.Stamp) window.Stamp {
 		}
 	}
 	if rt.e.queryPreds[t.Pred] {
-		rt.logResult(ResultEvent{
+		rt.e.ResultLog = append(rt.e.ResultLog, ResultEvent{
 			Tuple: t, Insert: del == nil, At: rt.node.Now(), Node: rt.node.ID,
 		})
 	}
@@ -451,15 +447,17 @@ func stampFlagKey(prefix string, id window.Stamp, flag bool) string {
 }
 
 // atTarget answers the walker termination test through the engine's
-// routing cache, or the stateless per-call scan under LegacyRouting.
+// routing cache.
 func (rt *nodeRT) atTarget(x, y float64) bool {
-	if rt.e.cfg.LegacyRouting {
-		return routing.AtTarget(rt.e.nw, rt.node.ID, x, y)
-	}
-	if rt.es != nil {
-		return rt.es.router.AtTarget(rt.node.ID, x, y)
-	}
 	return rt.e.router.AtTarget(rt.node.ID, x, y)
+}
+
+// recordTrace records an engine trace event (no-op without an attached
+// trace).
+func (rt *nodeRT) recordTrace(ev obs.Event) {
+	if rt.e.trace != nil {
+		rt.e.trace.Record(ev)
+	}
 }
 
 // forwardStore advances a storage walker one hop.

@@ -10,15 +10,12 @@ import (
 	"repro/internal/topo"
 )
 
-// SimFinalizeRow compares Network.Finalize with the spatial grid index
-// against the retained all-pairs baseline (nsim.Config.LegacyScan) on
-// one grid size.
+// SimFinalizeRow times Network.Finalize (spatial grid index, or the
+// all-pairs scan below its size cutoff) on one grid size.
 type SimFinalizeRow struct {
-	Nodes   int     `json:"nodes"`
-	GridM   int     `json:"grid_m"`
-	GridMs  float64 `json:"grid_ms"`
-	BruteMs float64 `json:"brute_ms"`
-	Speedup float64 `json:"speedup"`
+	Nodes  int     `json:"nodes"`
+	GridM  int     `json:"grid_m"`
+	GridMs float64 `json:"grid_ms"`
 }
 
 // SimBatchRow compares link traffic with and without batched transport
@@ -34,60 +31,28 @@ type SimBatchRow struct {
 	ByteReduxPct float64 `json:"byte_redux_pct"`
 }
 
-// SimShardRow is one shard count of the parallel-scheduler scaling
-// sweep: throughput, speedup over the single-threaded row, and the
-// window accounting (nsim.shard.windows / .elided / .barriers /
-// .crossings). BarriersPer1k is mid-run folds per thousand events —
-// the synchronization-cost headline the benchcheck gate watches.
-type SimShardRow struct {
-	Shards        int     `json:"shards"`
-	Events        int64   `json:"events"`
-	EventsPerSec  float64 `json:"events_per_sec"`
-	Speedup       float64 `json:"speedup"`
-	Windows       int64   `json:"windows"`
-	Elided        int64   `json:"elided"`
-	Barriers      int64   `json:"barriers"`
-	BarriersPer1k float64 `json:"barriers_per_1k_events"`
-	Crossings     int64   `json:"crossings"`
-}
-
-// SimBenchResult is the simulator fast-path A/B comparison snbench
-// emits as BENCH_sim.json (DESIGN.md §9). The "before" columns run the
-// retained legacy paths (LegacyScan, LegacyEvents, LegacyRouting); both
-// sides of every comparison are bit-identical in results, so the event
-// counts are asserted equal across modes.
+// SimBenchResult is the simulator benchmark snbench emits as
+// BENCH_sim.json (DESIGN.md §9).
 type SimBenchResult struct {
 	Finalize []SimFinalizeRow `json:"finalize"`
 
-	// Full E1 m=18 PA workload: typed queue + grid index + routing cache
-	// versus the legacy substrate.
-	Events               int64   `json:"events"`
-	EventsPerSecFast     float64 `json:"events_per_sec_fast"`
-	EventsPerSecLegacy   float64 `json:"events_per_sec_legacy"`
-	EventThroughputGain  float64 `json:"event_throughput_gain"`
-	AllocsPerEventFast   float64 `json:"allocs_per_event_fast"`
-	AllocsPerEventLegacy float64 `json:"allocs_per_event_legacy"`
-	AllocReduxPct        float64 `json:"alloc_redux_pct"`
+	// Full E1 m=18 PA workload: typed event queue, grid index and
+	// routing cache. The _fast suffix is kept so committed baselines
+	// stay comparable.
+	Events             int64   `json:"events"`
+	EventsPerSecFast   float64 `json:"events_per_sec_fast"`
+	AllocsPerEventFast float64 `json:"allocs_per_event_fast"`
 
 	Batching []SimBatchRow `json:"batching"`
 
-	// Cores is runtime.NumCPU() on the measuring machine. The sharded
-	// scaling rows below cannot beat it: on a single-core box every
-	// shard count measures the same serial execution plus scheduling
-	// overhead, so judge Sharding speedups against this number.
+	// Cores is runtime.NumCPU() on the measuring machine; timing rows
+	// are only comparable between runs on the same hardware.
 	// GoMaxProcs records what the Go scheduler was actually allowed to
 	// use (GOMAXPROCS at measurement time); NumCPU duplicates Cores
 	// under the conventional name.
 	Cores      int `json:"cores"`
 	GoMaxProcs int `json:"gomaxprocs"`
 	NumCPU     int `json:"num_cpu"`
-
-	// Sharding scales the E1 m=18 workload across the parallel sharded
-	// scheduler (core.Config.Shards; DESIGN.md §13). Event counts are
-	// recorded per row, not asserted equal: per-shard RNG streams draw
-	// different delays, so shard counts are distinct (deterministic)
-	// schedules of the same workload.
-	Sharding []SimShardRow `json:"sharding"`
 
 	// Counters is the obs.Snapshot of an observed run of the same E1
 	// m=18 workload (collected outside the timed regions, which stay
@@ -96,69 +61,48 @@ type SimBenchResult struct {
 	Counters map[string]int64 `json:"counters"`
 }
 
-// SimBench measures the three substrate wins: Finalize with the grid
-// index, event throughput and allocation rate on the E1 m=18 workload,
-// and link traffic under batching. reps controls timed repetitions.
-// shards, when positive, replaces the default {1, 2, 4, 8} sharded
-// scaling sweep with {1, shards} (the snbench -shards flag).
-func SimBench(reps, shards int) SimBenchResult {
+// SimBench measures Finalize with the grid index, event throughput and
+// allocation rate on the E1 m=18 workload, and link traffic under
+// batching. reps controls timed repetitions.
+func SimBench(reps int) SimBenchResult {
 	if reps < 1 {
 		reps = 1
 	}
 	var res SimBenchResult
 
-	finalize := func(m int, legacy bool) float64 {
+	for _, m := range []int{10, 20, 40, 80} {
 		start := time.Now()
 		for r := 0; r < reps; r++ {
-			nw := topo.Grid(m, nsim.Config{Seed: 3, LegacyScan: legacy})
+			nw := topo.Grid(m, nsim.Config{Seed: 3})
 			nw.Finalize()
 		}
-		return time.Since(start).Seconds() * 1000 / float64(reps)
-	}
-	for _, m := range []int{10, 20, 40, 80} {
-		row := SimFinalizeRow{Nodes: m * m, GridM: m}
-		row.GridMs = finalize(m, false)
-		row.BruteMs = finalize(m, true)
-		if row.GridMs > 0 {
-			row.Speedup = row.BruteMs / row.GridMs
-		}
-		res.Finalize = append(res.Finalize, row)
+		res.Finalize = append(res.Finalize, SimFinalizeRow{
+			Nodes: m * m, GridM: m,
+			GridMs: time.Since(start).Seconds() * 1000 / float64(reps),
+		})
 	}
 
 	// The E1 m=18 workload, timed over the event loop only; Finalize
 	// cost is reported separately above. Mallocs is the monotone heap
 	// object count, so the delta is GC-independent.
-	workload := func(legacy bool) (events int64, perSec, allocsPerEvent float64) {
-		var mallocs uint64
-		var runSecs float64
-		for r := 0; r < reps; r++ {
-			e, nw := deployGrid(18, twoStreamSrc,
-				core.Config{Scheme: gpa.Perpendicular, LegacyRouting: legacy},
-				nsim.Config{Seed: 11, LegacyEvents: legacy, LegacyScan: legacy})
-			injectJoinWorkload(e, nw, 40, 17)
-			runtime.GC() // drain garbage from setup so the timed region pays only its own
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			start := time.Now()
-			nw.Run(0)
-			runSecs += time.Since(start).Seconds()
-			runtime.ReadMemStats(&after)
-			events = nw.EventsProcessed
-			mallocs = after.Mallocs - before.Mallocs
-		}
-		secs := runSecs / float64(reps)
-		return events, float64(events) / secs, float64(mallocs) / float64(events)
+	var mallocs uint64
+	var runSecs float64
+	for r := 0; r < reps; r++ {
+		e, nw := deployGrid(18, twoStreamSrc,
+			core.Config{Scheme: gpa.Perpendicular}, nsim.Config{Seed: 11})
+		injectJoinWorkload(e, nw, 40, 17)
+		runtime.GC() // drain garbage from setup so the timed region pays only its own
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		nw.Run(0)
+		runSecs += time.Since(start).Seconds()
+		runtime.ReadMemStats(&after)
+		res.Events = nw.EventsProcessed
+		mallocs = after.Mallocs - before.Mallocs
 	}
-	fastEvents, fastPerSec, fastAllocs := workload(false)
-	legacyEvents, legacyPerSec, legacyAllocs := workload(true)
-	if fastEvents != legacyEvents {
-		panic("sim bench: event counts differ between fast and legacy substrates")
-	}
-	res.Events = fastEvents
-	res.EventsPerSecFast, res.EventsPerSecLegacy = fastPerSec, legacyPerSec
-	res.EventThroughputGain = fastPerSec / legacyPerSec
-	res.AllocsPerEventFast, res.AllocsPerEventLegacy = fastAllocs, legacyAllocs
-	res.AllocReduxPct = 100 * (1 - fastAllocs/legacyAllocs)
+	res.EventsPerSecFast = float64(res.Events) / (runSecs / float64(reps))
+	res.AllocsPerEventFast = float64(mallocs) / float64(res.Events)
 
 	for _, m := range []int{10, 14} {
 		batch := func(on bool) (int64, int64) {
@@ -180,50 +124,9 @@ func SimBench(reps, shards int) SimBenchResult {
 		})
 	}
 
-	// Sharded scaling sweep. MinDelay 4 widens the conservative
-	// lookahead window (W = MinDelay), giving each barrier more events
-	// to run concurrently; Shards=1 stays on the single-threaded path
-	// and anchors the speedup column.
 	res.Cores = runtime.NumCPU()
 	res.NumCPU = runtime.NumCPU()
 	res.GoMaxProcs = runtime.GOMAXPROCS(0)
-	shardCounts := []int{1, 2, 4, 8}
-	if shards > 0 {
-		shardCounts = []int{1, shards}
-	}
-	var shardBase float64
-	for _, n := range shardCounts {
-		var events, windows, elided, barriers, crossings int64
-		var secs float64
-		for r := 0; r < reps; r++ {
-			e, nw := deployGrid(18, twoStreamSrc,
-				core.Config{Scheme: gpa.Perpendicular, Shards: n},
-				nsim.Config{Seed: 11, MinDelay: 4, MaxDelay: 8, Shards: n})
-			injectJoinWorkload(e, nw, 40, 17)
-			runtime.GC()
-			start := time.Now()
-			nw.Run(0)
-			secs += time.Since(start).Seconds()
-			events = nw.EventsProcessed
-			windows, elided = nw.ShardWindows, nw.ShardElided
-			barriers, crossings = nw.ShardBarriers, nw.ShardCrossings
-		}
-		row := SimShardRow{
-			Shards: n, Events: events, Windows: windows, Elided: elided,
-			Barriers: barriers, Crossings: crossings,
-			EventsPerSec: float64(events) / (secs / float64(reps)),
-		}
-		if events > 0 {
-			row.BarriersPer1k = 1000 * float64(barriers) / float64(events)
-		}
-		if n == 1 {
-			shardBase = row.EventsPerSec
-		}
-		if shardBase > 0 {
-			row.Speedup = row.EventsPerSec / shardBase
-		}
-		res.Sharding = append(res.Sharding, row)
-	}
 
 	res.Counters = TraceE1(18, 20, 1).Registry.Snapshot().Counters
 	return res

@@ -25,26 +25,58 @@ func intSqrt(n int) int {
 	return i
 }
 
-func benchFinalize(b *testing.B, legacy bool) {
+func BenchmarkFinalizeGrid(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		nw := benchNet(1600, Config{Seed: 7, LegacyScan: legacy})
+		nw := benchNet(1600, Config{Seed: 7})
 		nw.Finalize()
 	}
 }
 
-func BenchmarkFinalizeGrid(b *testing.B)  { benchFinalize(b, false) }
-func BenchmarkFinalizeBrute(b *testing.B) { benchFinalize(b, true) }
-
-func benchEvents(b *testing.B, legacy bool) {
+func BenchmarkEventsTyped(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		nw, _ := runChatty(legacy)
+		nw := runChatty()
 		if nw.EventsProcessed == 0 {
 			b.Fatal("no events processed")
 		}
 	}
 }
 
-func BenchmarkEventsTyped(b *testing.B)  { benchEvents(b, false) }
-func BenchmarkEventsLegacy(b *testing.B) { benchEvents(b, true) }
+// chattyApp drives a workload that exercises timers, unicast, broadcast
+// and loss: every node broadcasts on Init, echoes received "chat"
+// messages back to the sender a bounded number of times, and re-arms a
+// timer chain.
+type chattyApp struct {
+	echoes int
+}
+
+func (a *chattyApp) Init(n *Node) {
+	n.Broadcast("chat", nil, 12)
+	n.SetTimer(3, "tick", 0)
+}
+
+func (a *chattyApp) Receive(n *Node, m *Message) {
+	if m.Kind == "chat" && a.echoes < 8 {
+		a.echoes++
+		n.Send(m.Src, "chat", nil, 12)
+	}
+}
+
+func (a *chattyApp) Timer(n *Node, key string, data interface{}) {
+	if c := data.(int); c < 5 {
+		n.SetTimer(2, key, c+1)
+	}
+}
+
+func runChatty() *Network {
+	nw := New(Config{Seed: 42, LossRate: 0.1, MaxSkew: 6, Retries: 1})
+	for q := 0; q < 3; q++ {
+		for p := 0; p < 3; p++ {
+			nw.AddNode(float64(p), float64(q)).App = &chattyApp{}
+		}
+	}
+	nw.Finalize()
+	nw.Run(0)
+	return nw
+}

@@ -4,86 +4,8 @@ import (
 	"testing"
 )
 
-// chattyApp drives a workload that exercises timers, unicast, broadcast
-// and loss: every node broadcasts on Init, echoes received "chat"
-// messages back to the sender a bounded number of times, and re-arms a
-// timer chain.
-type chattyApp struct {
-	echoes int
-	events []string
-}
-
-func (a *chattyApp) Init(n *Node) {
-	n.Broadcast("chat", nil, 12)
-	n.SetTimer(3, "tick", 0)
-}
-
-func (a *chattyApp) Receive(n *Node, m *Message) {
-	a.events = append(a.events, m.Kind)
-	if m.Kind == "chat" && a.echoes < 8 {
-		a.echoes++
-		n.Send(m.Src, "chat", nil, 12)
-	}
-}
-
-func (a *chattyApp) Timer(n *Node, key string, data interface{}) {
-	a.events = append(a.events, key)
-	if c := data.(int); c < 5 {
-		n.SetTimer(2, key, c+1)
-	}
-}
-
-func runChatty(legacy bool) (*Network, []*chattyApp) {
-	nw := New(Config{Seed: 42, LossRate: 0.1, MaxSkew: 6, Retries: 1, LegacyEvents: legacy})
-	apps := make([]*chattyApp, 0, 9)
-	for q := 0; q < 3; q++ {
-		for p := 0; p < 3; p++ {
-			a := &chattyApp{}
-			apps = append(apps, a)
-			nw.AddNode(float64(p), float64(q)).App = a
-		}
-	}
-	nw.Finalize()
-	nw.Run(0)
-	return nw, apps
-}
-
-// TestTypedAndLegacyQueuesIdentical pins the event-queue rewrite: the
-// typed value heap and the original closure heap must produce the same
-// run — same event count, same counters, same per-node event traces,
-// same final clock.
-func TestTypedAndLegacyQueuesIdentical(t *testing.T) {
-	nwT, appsT := runChatty(false)
-	nwL, appsL := runChatty(true)
-	if nwT.Now() != nwL.Now() {
-		t.Errorf("final time: typed %d legacy %d", nwT.Now(), nwL.Now())
-	}
-	if nwT.EventsProcessed != nwL.EventsProcessed {
-		t.Errorf("events: typed %d legacy %d", nwT.EventsProcessed, nwL.EventsProcessed)
-	}
-	if nwT.TotalSent != nwL.TotalSent || nwT.TotalBytes != nwL.TotalBytes || nwT.TotalDropped != nwL.TotalDropped {
-		t.Errorf("counters: typed %d/%d/%d legacy %d/%d/%d",
-			nwT.TotalSent, nwT.TotalBytes, nwT.TotalDropped,
-			nwL.TotalSent, nwL.TotalBytes, nwL.TotalDropped)
-	}
-	for i := range appsT {
-		at, al := appsT[i].events, appsL[i].events
-		if len(at) != len(al) {
-			t.Fatalf("node %d: %d events typed, %d legacy", i, len(at), len(al))
-		}
-		for j := range at {
-			if at[j] != al[j] {
-				t.Fatalf("node %d event %d: typed %q legacy %q", i, j, at[j], al[j])
-			}
-		}
-	}
-	if nwT.EventsProcessed == 0 {
-		t.Fatal("workload processed no events")
-	}
-}
-
-// TestTimerSkipsDownNode: the typed timer path must keep the fire-time
-// Down check the legacy closure performed.
+// TestTimerSkipsDownNode: a timer on a node that went Down after
+// scheduling it must not fire.
 func TestTimerSkipsDownNode(t *testing.T) {
 	nw, a, _ := twoNodeNet(Config{Seed: 1})
 	nw.Node(0).SetTimer(5, "late", nil)

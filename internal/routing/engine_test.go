@@ -33,8 +33,8 @@ func TestEngineNearestCacheInvalidatesOnDeath(t *testing.T) {
 }
 
 // TestEngineAtTargetMatchesPackage: the cached termination test agrees
-// with the package function on every (node, target) pair, before and
-// after deaths.
+// with the uncached nsim.Network.NearestNode scan on every (node,
+// target) pair, before and after deaths.
 func TestEngineAtTargetMatchesPackage(t *testing.T) {
 	m := 4
 	nw := topo.Grid(m, nsim.Config{Seed: 2})
@@ -45,7 +45,8 @@ func TestEngineAtTargetMatchesPackage(t *testing.T) {
 		for _, n := range nw.Nodes() {
 			for _, tgt := range [][2]float64{{0, 0}, {1.4, 2.2}, {3, 3}, {-1, 5}} {
 				got := e.AtTarget(n.ID, tgt[0], tgt[1])
-				want := AtTarget(nw, n.ID, tgt[0], tgt[1])
+				nearest := nw.NearestNode(tgt[0], tgt[1])
+				want := nearest != nil && nearest.ID == n.ID
 				if got != want {
 					t.Fatalf("AtTarget(%d, %v) = %v, want %v", n.ID, tgt, got, want)
 				}

@@ -79,13 +79,6 @@ func GreedyPath(nw *nsim.Network, from nsim.NodeID, tx, ty float64, maxHops int)
 	return path
 }
 
-// AtTarget reports whether node id is the closest live node to (tx, ty) —
-// the termination test for geographic unicast.
-func AtTarget(nw *nsim.Network, id nsim.NodeID, tx, ty float64) bool {
-	n := nw.NearestNode(tx, ty)
-	return n != nil && n.ID == id
-}
-
 func dist(x1, y1, x2, y2 float64) float64 {
 	return math.Hypot(x1-x2, y1-y2)
 }
@@ -148,8 +141,9 @@ func (e *Engine) NearestNode(x, y float64) *nsim.Node {
 	return n
 }
 
-// AtTarget reports whether node id is the closest live node to (tx, ty),
-// using the nearest cache.
+// AtTarget reports whether node id is the closest live node to (tx, ty)
+// — the termination test for geographic unicast — using the nearest
+// cache.
 func (e *Engine) AtTarget(id nsim.NodeID, tx, ty float64) bool {
 	n := e.NearestNode(tx, ty)
 	return n != nil && n.ID == id

@@ -89,10 +89,11 @@ func TestGreedyOnRandomTopologyReachesTarget(t *testing.T) {
 func TestAtTarget(t *testing.T) {
 	nw := topo.Grid(3, nsim.Config{})
 	nw.Finalize()
-	if !AtTarget(nw, topo.GridID(3, 1, 1), 1.2, 1.1) {
+	e := NewEngine(nw)
+	if !e.AtTarget(topo.GridID(3, 1, 1), 1.2, 1.1) {
 		t.Error("center node should be target for (1.2, 1.1)")
 	}
-	if AtTarget(nw, topo.GridID(3, 0, 0), 2, 2) {
+	if e.AtTarget(topo.GridID(3, 0, 0), 2, 2) {
 		t.Error("corner should not be target for (2,2)")
 	}
 }

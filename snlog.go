@@ -200,8 +200,8 @@ type Options struct {
 	// SpatialRadius scopes storage/join regions (0 = unbounded).
 	SpatialRadius float64
 	// BandWidth generalizes PA rows/columns to geographic bands on
-	// arbitrary topologies; DeployRandom defaults it to 1.5x the radio
-	// range when unset.
+	// arbitrary topologies; a Random topology defaults it to 1.5x the
+	// radio range when unset.
 	BandWidth float64
 	// LossRate is the per-transmission message loss probability.
 	LossRate float64
@@ -236,9 +236,6 @@ type Options struct {
 	// Provenance attaches a per-derivation lineage graph, queryable
 	// through Cluster.Explain and Cluster.Blame (see WithProvenance).
 	Provenance bool
-	// Shards, when > 1, runs the simulation on the parallel sharded
-	// scheduler (see WithShards).
-	Shards int
 }
 
 // Option is a functional deployment option for Deploy.
@@ -309,17 +306,6 @@ func WithTrace(capacity int) Option { return func(o *Options) { o.TraceCapacity 
 // every published baseline is produced with provenance off.
 func WithProvenance() Option { return func(o *Options) { o.Provenance = true } }
 
-// WithShards partitions the simulation spatially into n shards that run
-// concurrently under conservative lookahead windows derived from the
-// minimum per-hop delay (DESIGN.md §13). Results are equivalent but not
-// byte-identical to the single-threaded schedule (per-shard RNG
-// streams); a fixed (seed, shard count) still replays identically.
-// n <= 1 keeps the default single-threaded scheduler, byte-identical to
-// deployments without this option. Energy-model deployments ignore the
-// option (deaths flip mid-transmission, which the parallel path cannot
-// observe race-free).
-func WithShards(n int) Option { return func(o *Options) { o.Shards = n } }
-
 // Topology describes the network shape a program deploys onto; build
 // one with Grid or Random and pass it to Deploy.
 type Topology struct {
@@ -362,7 +348,6 @@ func simConfig(opt *Options) nsim.Config {
 		LossRate: opt.LossRate,
 		MaxSkew:  nsim.Time(opt.MaxSkew),
 		Retries:  opt.Retries,
-		Shards:   opt.Shards,
 	}
 }
 
@@ -392,30 +377,11 @@ func Deploy(t Topology, src string, opts ...Option) (*Cluster, error) {
 	for _, f := range opts {
 		f(&o)
 	}
-	return deployTopo(t, src, o)
-}
-
-// DeployGrid compiles src onto an m×m grid network.
-//
-// Deprecated: use Deploy(Grid(m), src, opts...).
-func DeployGrid(m int, src string, opt Options) (*Cluster, error) {
-	return deployTopo(Grid(m), src, opt)
-}
-
-// DeployRandom compiles src onto n nodes placed uniformly at random in a
-// side×side square with the given radio range (retrying until connected).
-//
-// Deprecated: use Deploy(Random(n, side, radioRange), src, opts...).
-func DeployRandom(n int, side, radioRange float64, src string, opt Options) (*Cluster, error) {
-	return deployTopo(Random(n, side, radioRange), src, opt)
-}
-
-func deployTopo(t Topology, src string, opt Options) (*Cluster, error) {
-	nw, err := t.build(&opt)
+	nw, err := t.build(&o)
 	if err != nil {
 		return nil, err
 	}
-	return deploy(nw, src, opt)
+	return deploy(nw, src, o)
 }
 
 func deploy(nw *nsim.Network, src string, opt Options) (*Cluster, error) {
@@ -434,7 +400,6 @@ func deploy(nw *nsim.Network, src string, opt Options) (*Cluster, error) {
 		NaiveJoin:     opt.NaiveJoin,
 		BatchLinks:    opt.BatchLinks,
 		ReplayLog:     opt.ReplayLog,
-		Shards:        opt.Shards,
 	})
 	if err != nil {
 		return nil, err

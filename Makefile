@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench joinbench bench-sim bench-serve bench-serve-smoke bench-check serve-smoke perfbench-smoke obs-guard obs-export-smoke fuzz-smoke profile trace-e1 verify
+.PHONY: all build test vet fmt-check race bench joinbench bench-sim bench-serve bench-serve-smoke bench-check serve-smoke perfbench-smoke obs-guard obs-export-smoke fuzz-smoke profile trace-e1 verify
 
 all: verify
 
@@ -12,6 +12,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Every tracked Go file must be gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 # livenet is goroutine-per-node and the window/eval index structures are
 # shared per node runtime; the serve layer multiplexes concurrent
@@ -109,4 +114,4 @@ profile:
 trace-e1:
 	$(GO) run ./cmd/snbench -trace trace_e1.jsonl
 
-verify: build test vet race bench-serve-smoke serve-smoke perfbench-smoke obs-guard obs-export-smoke fuzz-smoke bench-check
+verify: build test vet fmt-check race bench-serve-smoke serve-smoke perfbench-smoke obs-guard obs-export-smoke fuzz-smoke bench-check

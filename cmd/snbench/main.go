@@ -147,9 +147,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "snbench: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("join A/B: centralized %.2fms indexed vs %.2fms naive (%.2fx), distributed %.2fms vs %.2fms, %d msgs both\n",
-			res.CentralizedIndexedMs, res.CentralizedNaiveMs, res.CentralizedSpeedup,
-			res.DistributedIndexedMs, res.DistributedNaiveMs, res.DistributedMessages)
+		fmt.Printf("join A/B: centralized %.2fms indexed vs %.2fms naive (%.2fx), %d join ops both\n",
+			res.CentralizedIndexedMs, res.CentralizedNaiveMs, res.CentralizedSpeedup, res.JoinOpsIndexed)
 		return
 	}
 

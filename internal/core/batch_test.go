@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/datalog/ast"
@@ -68,6 +69,21 @@ out(X, Z) :- ra(X, Y), rb(Y, Z).
 			}
 		})
 	}
+}
+
+func derivedFingerprint(e *Engine) string {
+	db := e.DerivedDB()
+	var b strings.Builder
+	for _, pred := range db.Predicates() {
+		b.WriteString(pred)
+		b.WriteString(":\n")
+		for _, t := range db.Tuples(pred) {
+			b.WriteString("  ")
+			b.WriteString(t.Key())
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
 }
 
 // TestBatchFrameAccounting pins the frame format arithmetic: a frame of

@@ -15,21 +15,22 @@ func TestConfigDefaultsDerivedFromGeometry(t *testing.T) {
 	nw := topo.Grid(6, nsim.Config{})
 	cfg := Config{}
 	cfg.fill(nw)
-	if cfg.TauS <= 0 || cfg.TauJ <= 0 || cfg.FinalizeGap <= 0 {
-		t.Errorf("defaults not derived: %+v", cfg)
+	if cfg.tauS <= 0 || cfg.tauJ <= 0 || cfg.finalizeGap <= 0 || cfg.centroidRadius <= 0 {
+		t.Errorf("bounds not derived: %+v", cfg)
 	}
 	// Larger networks get larger settle bounds.
 	nwBig := topo.Grid(12, nsim.Config{})
 	cfgBig := Config{}
 	cfgBig.fill(nwBig)
-	if cfgBig.TauS <= cfg.TauS {
-		t.Errorf("TauS should grow with diameter: %d vs %d", cfgBig.TauS, cfg.TauS)
+	if cfgBig.tauS <= cfg.tauS {
+		t.Errorf("tauS should grow with diameter: %d vs %d", cfgBig.tauS, cfg.tauS)
 	}
-	// Explicit values are preserved.
-	cfgSet := Config{TauS: 7, TauJ: 9, TauC: 3, FinalizeGap: 11}
-	cfgSet.fill(nw)
-	if cfgSet.TauS != 7 || cfgSet.TauJ != 9 || cfgSet.TauC != 3 || cfgSet.FinalizeGap != 11 {
-		t.Errorf("explicit config overridden: %+v", cfgSet)
+	// The skew bound is the network's.
+	nwSkew := topo.Grid(6, nsim.Config{MaxSkew: 7})
+	cfgSkew := Config{}
+	cfgSkew.fill(nwSkew)
+	if cfgSkew.tauC != 7 {
+		t.Errorf("tauC = %d, want the network's MaxSkew 7", cfgSkew.tauC)
 	}
 }
 

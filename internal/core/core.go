@@ -54,25 +54,11 @@ type Config struct {
 	// two-stream positive joins (the paper defers the full general-
 	// topology construction to [44]).
 	BandWidth float64
-	// CentroidRadius bounds the Centroid scheme's central region
-	// (default 1.5 radio ranges around the bounding-box center).
-	CentroidRadius float64
-	// TauS bounds storage-phase completion; TauC is the clock-skew bound;
-	// TauJ bounds join-phase completion. Zero values are derived from the
-	// network geometry.
-	TauS, TauC, TauJ nsim.Time
-	// FinalizeGap separates the finalize delays of same-stage predicates
-	// (XY evaluation order). Zero derives a default.
-	FinalizeGap nsim.Time
 	// DefaultWindow is the sliding-window range for streams without a
 	// .window declaration (0 = unbounded).
 	DefaultWindow int64
 	// Registry supplies built-ins (nil = builtin.Default()).
 	Registry *builtin.Registry
-	// NaiveJoin disables the window stores' argument-position indexes
-	// (full visible-scan lookups). Retained for A/B determinism checks
-	// and benchmarks; results and message counts are identical.
-	NaiveJoin bool
 	// BatchLinks coalesces the store/join/result tuples a node emits
 	// within one tick into a single framed link message per destination,
 	// accounted as one shared 8-byte header plus the sum of the tuple
@@ -81,9 +67,6 @@ type Config struct {
 	// batching disabled. The final derived database is identical either
 	// way (see TestBatchLinksEquivalence).
 	BatchLinks bool
-	// NodeTerm names a node as a term for placement-based storage; the
-	// default is the symbol n<id>.
-	NodeTerm func(n *nsim.Node) ast.Term
 	// ReplayLog keeps a per-node log of every generation (insert or
 	// delete, base or cascaded derived) so Engine.ReplayAt can repair
 	// state lost to injected faults by re-executing the log with the
@@ -91,33 +74,35 @@ type Config struct {
 	// overhead on fault-free runs and would perturb the allocation
 	// baselines.
 	ReplayLog bool
+
+	// The bounds below are not settable: fill derives them from the
+	// network geometry (Section III). tauS bounds storage-phase
+	// completion, tauC is the clock-skew bound, tauJ bounds join-phase
+	// completion, finalizeGap separates the finalize delays of
+	// same-stage predicates (XY evaluation order), and centroidRadius
+	// bounds the Centroid scheme's central region (1.5 radio ranges
+	// around the bounding-box center).
+	tauS, tauC, tauJ, finalizeGap nsim.Time
+	centroidRadius                float64
 }
 
 func (c *Config) fill(nw *nsim.Network) {
 	if c.Registry == nil {
 		c.Registry = builtin.Default()
 	}
-	if c.NodeTerm == nil {
-		c.NodeTerm = func(n *nsim.Node) ast.Term {
-			return ast.Symbol(fmt.Sprintf("n%d", n.ID))
-		}
-	}
 	minX, minY, maxX, maxY := boundsOf(nw)
 	diamHops := nsim.Time((maxX-minX)+(maxY-minY)) + 4
 	hop := nw.Config().MaxDelay
-	if c.TauS == 0 {
-		c.TauS = 2 * diamHops * hop
-	}
-	if c.TauC == 0 {
-		c.TauC = nw.Config().MaxSkew
-	}
-	if c.TauJ == 0 {
-		c.TauJ = 2 * diamHops * hop
-	}
-	if c.FinalizeGap == 0 {
-		c.FinalizeGap = c.TauS + c.TauC + 4*hop
-	}
+	c.tauS = 2 * diamHops * hop
+	c.tauC = nw.Config().MaxSkew
+	c.tauJ = 2 * diamHops * hop
+	c.finalizeGap = c.tauS + c.tauC + 4*hop
+	c.centroidRadius = 1.5 * nw.Config().Range
 }
+
+// NodeSym returns the symbol n<id> that names a node in placement-based
+// storage (.store p at ...) and in programs that refer to nodes.
+func NodeSym(id nsim.NodeID) ast.Term { return ast.Symbol(fmt.Sprintf("n%d", id)) }
 
 func boundsOf(nw *nsim.Network) (minX, minY, maxX, maxY float64) {
 	minX, minY = 1e18, 1e18
@@ -298,7 +283,7 @@ func New(nw *nsim.Network, prog *ast.Program, cfg Config) (*Engine, error) {
 	e.planner.SpatialRadius = cfg.SpatialRadius
 	e.planner.BandWidth = cfg.BandWidth
 	for _, n := range nw.Nodes() {
-		e.nodeTerms[cfg.NodeTerm(n).Key()] = n.ID
+		e.nodeTerms[NodeSym(n.ID).Key()] = n.ID
 	}
 	for _, w := range res.XY {
 		for i, p := range w.SameStageOrder {
@@ -350,15 +335,11 @@ func New(nw *nsim.Network, prog *ast.Program, cfg Config) (*Engine, error) {
 	}
 
 	if cfg.Scheme == gpa.Centroid {
-		if cfg.CentroidRadius == 0 {
-			cfg.CentroidRadius = 1.5 * nw.Config().Range
-			e.cfg.CentroidRadius = cfg.CentroidRadius
-		}
 		minX, minY, maxX, maxY := boundsOf(nw)
 		cx, cy := (minX+maxX)/2, (minY+maxY)/2
 		for _, n := range nw.Nodes() {
 			dx, dy := n.X-cx, n.Y-cy
-			if dx*dx+dy*dy <= cfg.CentroidRadius*cfg.CentroidRadius+1e-9 {
+			if dx*dx+dy*dy <= cfg.centroidRadius*cfg.centroidRadius+1e-9 {
 				e.centroidNodes = append(e.centroidNodes, n.ID)
 			}
 		}
@@ -729,7 +710,7 @@ func (e *Engine) retention(predKey string) int64 {
 	if w == 0 {
 		return 0
 	}
-	return int64(e.cfg.TauS+2*e.cfg.TauC+e.cfg.TauJ) + w
+	return int64(e.cfg.tauS+2*e.cfg.tauC+e.cfg.tauJ) + w
 }
 
 // candSettle bounds how long after an update's timestamp its candidates
@@ -739,7 +720,7 @@ func (e *Engine) retention(predKey string) int64 {
 // order — the distributed analogue of Theorem 3's "process updates in
 // the order of their local timestamps".
 func (e *Engine) candSettle() nsim.Time {
-	return e.cfg.TauS + 2*e.cfg.TauJ + 2*e.cfg.TauC
+	return e.cfg.tauS + 2*e.cfg.tauJ + 2*e.cfg.tauC
 }
 
 // finalizeDeadline computes the local time at which a candidate with the
@@ -747,7 +728,7 @@ func (e *Engine) candSettle() nsim.Time {
 // predicates are staggered by their evaluation-order priority.
 func (e *Engine) finalizeDeadline(updateTS int64, predKey string) nsim.Time {
 	return nsim.Time(updateTS) + e.candSettle() +
-		e.cfg.FinalizeGap*nsim.Time(1+e.finalizePrio[predKey])
+		e.cfg.finalizeGap*nsim.Time(1+e.finalizePrio[predKey])
 }
 
 // sizeOfTuple estimates the wire size of a tuple in bytes.

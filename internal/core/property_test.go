@@ -20,6 +20,7 @@ func TestPropertyRandomTimelineMatchesOracle(t *testing.T) {
 	type workload struct {
 		name string
 		src  string
+		ops  int // timeline length (0 = 25)
 		gen  func(r *rand.Rand, i int) eval.Tuple
 	}
 	workloads := []workload{
@@ -67,6 +68,23 @@ path(X, Z) :- path(X, Y), edge(Y, Z).
 				return eval.NewTuple("edge", ast.Int64(int64(a)), ast.Int64(int64(a+1+r.Intn(2))))
 			},
 		},
+		{
+			// Disjoint chains grown link by link: a chain of n edges
+			// derives n(n+1)/2 paths, so the PA row replicas pass
+			// window.indexMinTable and the join phase probes the
+			// window-store index rather than scanning.
+			name: "chains",
+			src: `
+.base edge/2.
+path(X, Y) :- edge(X, Y).
+path(X, Z) :- path(X, Y), edge(Y, Z).
+`,
+			ops: 120,
+			gen: func(r *rand.Rand, i int) eval.Tuple {
+				a := int64(100*(i%4) + i/4)
+				return eval.NewTuple("edge", ast.Int64(a), ast.Int64(a+1))
+			},
+		},
 	}
 
 	for _, w := range workloads {
@@ -92,7 +110,11 @@ path(X, Z) :- path(X, Y), edge(Y, Z).
 				// Space the ops so each settles: the oracle equivalence is
 				// about the *final* state; ops are still concurrent within
 				// each other's storage/join phases because deltas overlap.
-				for i := 0; i < 25; i++ {
+				ops := w.ops
+				if ops == 0 {
+					ops = 25
+				}
+				for i := 0; i < ops; i++ {
 					at += nsim.Time(r.Intn(400))
 					if len(live) > 0 && r.Intn(100) < 30 {
 						keys := make([]string, 0, len(live))

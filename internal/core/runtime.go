@@ -204,15 +204,10 @@ type nodeRT struct {
 
 // visibleMatch probes the node's store for the visible entries matching
 // lit's bound argument positions under subst, reusing the runtime's
-// scratch buffers. In naive mode it retains the pre-index discipline:
-// the full insertion-order visible scan, with the bound-position key
-// never computed. The returned slice is valid until the next call.
+// scratch buffers. The returned slice is valid until the next call.
 func (rt *nodeRT) visibleMatch(lit ast.Literal, subst unify.Subst, tau window.Stamp) []*window.Entry {
 	rt.e.cProbes.Add(1)
 	w := rt.e.windows[lit.PredKey()]
-	if rt.store.Naive {
-		return rt.store.Visible(lit.PredKey(), tau, w)
-	}
 	if rt.colBuf == nil {
 		rt.colBuf = rt.colArr[:0]
 		rt.keyBuf = rt.keyArr[:0]
@@ -236,12 +231,10 @@ type pendingCand struct {
 }
 
 func newNodeRT(e *Engine, n *nsim.Node) *nodeRT {
-	st := window.NewStore()
-	st.Naive = e.cfg.NaiveJoin
 	return &nodeRT{
 		e:           e,
 		node:        n,
-		store:       st,
+		store:       window.NewStore(),
 		derivs:      make(map[string]map[string]bool),
 		derivedLive: make(map[string]eval.Tuple),
 		derivedIDs:  make(map[string]window.Stamp),
@@ -413,7 +406,7 @@ func (rt *nodeRT) launch(t eval.Tuple, id window.Stamp, delStamp *window.Stamp, 
 
 	// Join-computation phase after the storage settle delay (Thm 3).
 	rec := &updateRec{Tuple: t, ID: id, Tau: tau, Del: delStamp != nil}
-	rt.node.SetTimer(rt.e.cfg.TauS+rt.e.cfg.TauC, timerJoinPhase, rec)
+	rt.node.SetTimer(rt.e.cfg.tauS+rt.e.cfg.tauC, timerJoinPhase, rec)
 }
 
 // applyStoreLocal stores a replica or records a deletion stamp.
@@ -564,7 +557,7 @@ func (rt *nodeRT) joinPhase(rec *updateRec) {
 		// Seek to the region center, then flood the region with a small
 		// TTL so every region node extends the pinned partials.
 		minX, minY, maxX, maxY := boundsOf(rt.e.nw)
-		ttl := int(rt.e.cfg.CentroidRadius/rt.e.nw.Config().Range) + 2
+		ttl := int(rt.e.cfg.centroidRadius/rt.e.nw.Config().Range) + 2
 		jm := &joinMsg{
 			Update: rec.Tuple, ID: rec.ID, Tau: rec.Tau, Del: rec.Del,
 			Partials:   hashPartials,
@@ -1425,7 +1418,7 @@ func (rt *nodeRT) launchMultiPass(p *partialR, rec *updateRec, plan gpa.Plan) {
 // τc+1 ticks to keep the scan off the per-message fast path.
 func (rt *nodeRT) expire() {
 	now := int64(rt.node.LocalTime())
-	if now-rt.lastExpire <= int64(rt.e.cfg.TauC) {
+	if now-rt.lastExpire <= int64(rt.e.cfg.tauC) {
 		return
 	}
 	rt.lastExpire = now

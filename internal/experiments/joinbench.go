@@ -3,20 +3,16 @@ package experiments
 import (
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/datalog/ast"
 	"repro/internal/datalog/eval"
-	"repro/internal/gpa"
-	"repro/internal/nsim"
 )
 
-// JoinBenchResult is the indexed-vs-naive A/B comparison snbench emits
-// as BENCH_join.json. Both modes compute byte-identical results (pinned
-// by TestIndexedEquivalence and TestStoreIndexEquivalence); only the
-// lookup strategy differs, so the distributed message counts must match
-// exactly across modes.
+// JoinBenchResult is the centralized indexed-vs-naive A/B comparison
+// snbench emits as BENCH_join.json. Both modes compute byte-identical
+// results (pinned by TestIndexedEquivalence); only the lookup strategy
+// differs, so the join counts must match exactly across modes.
 type JoinBenchResult struct {
-	// Centralized: semi-naive transitive closure over a 60-edge chain.
+	// Semi-naive transitive closure over a 60-edge chain.
 	CentralizedIndexedMs float64 `json:"centralized_indexed_ms"`
 	CentralizedNaiveMs   float64 `json:"centralized_naive_ms"`
 	CentralizedSpeedup   float64 `json:"centralized_speedup"`
@@ -24,12 +20,6 @@ type JoinBenchResult struct {
 	JoinOpsNaive         int64   `json:"join_ops_naive"`
 	ScanOpsIndexed       int64   `json:"scan_ops_indexed"`
 	ScanOpsNaive         int64   `json:"scan_ops_naive"`
-
-	// Distributed: two-stream windowed join on a 10x10 grid under PA.
-	DistributedIndexedMs float64 `json:"distributed_indexed_ms"`
-	DistributedNaiveMs   float64 `json:"distributed_naive_ms"`
-	DistributedMessages  int64   `json:"distributed_messages"`
-	DistributedBytes     int64   `json:"distributed_bytes"`
 }
 
 const tcSrc = `
@@ -37,9 +27,9 @@ path(X, Y) :- edge(X, Y).
 path(X, Z) :- path(X, Y), edge(Y, Z).
 `
 
-// JoinBench measures the argument-position index win on the two
-// headline workloads. reps controls how many timed repetitions each
-// mode averages over.
+// JoinBench measures the centralized evaluator's argument-position
+// index win on the transitive-closure workload. reps controls how many
+// timed repetitions each mode averages over.
 func JoinBench(reps int) JoinBenchResult {
 	if reps < 1 {
 		reps = 1
@@ -76,26 +66,8 @@ func JoinBench(reps int) JoinBenchResult {
 	if res.CentralizedIndexedMs > 0 {
 		res.CentralizedSpeedup = res.CentralizedNaiveMs / res.CentralizedIndexedMs
 	}
-
-	distributed := func(naive bool) (float64, int64, int64) {
-		start := time.Now()
-		var sent, bytes int64
-		for r := 0; r < reps; r++ {
-			e, nw := deployGrid(10, twoStreamSrc,
-				core.Config{Scheme: gpa.Perpendicular, NaiveJoin: naive},
-				nsim.Config{Seed: int64(r)})
-			injectJoinWorkload(e, nw, 20, int64(r)+29)
-			nw.Run(0)
-			sent, bytes = nw.TotalSent, nw.TotalBytes
-		}
-		ms := time.Since(start).Seconds() * 1000 / float64(reps)
-		return ms, sent, bytes
-	}
-	var naiveSent, naiveBytes int64
-	res.DistributedIndexedMs, res.DistributedMessages, res.DistributedBytes = distributed(false)
-	res.DistributedNaiveMs, naiveSent, naiveBytes = distributed(true)
-	if naiveSent != res.DistributedMessages || naiveBytes != res.DistributedBytes {
-		panic("join bench: message traffic differs between indexed and naive runs")
+	if res.JoinOpsIndexed != res.JoinOpsNaive {
+		panic("join bench: join counts differ between indexed and naive runs")
 	}
 	return res
 }

@@ -54,8 +54,8 @@ import (
 // never move between shards.
 //
 // Capacity is per shard: ceil(total/shards), min 1, evicted LRU
-// within the shard. A single-shard cache (CacheShards: 1) degenerates
-// to the PR-8 global LRU.
+// within the shard. A single-shard cache (newShardedCache(max, 1, ...))
+// degenerates to a single global LRU.
 //
 // The nil cache (caching disabled) is a valid no-op receiver.
 type shardedCache struct {

@@ -10,6 +10,12 @@ import (
 
 func tup(v int64) eval.Tuple { return eval.NewTuple("s", ast.Int64(v)) }
 
+// visible is the unindexed lookup: every entry of predKey visible at τ
+// under window w, in insertion order.
+func visible(s *Store, predKey string, tau Stamp, w int64) []*Entry {
+	return s.VisibleMatch(predKey, tau, w, nil, nil, nil)
+}
+
 func TestStampTotalOrder(t *testing.T) {
 	a := Stamp{TS: 1, Node: 0, Seq: 0}
 	b := Stamp{TS: 1, Node: 0, Seq: 1}
@@ -47,13 +53,13 @@ func TestInsertVisibleOrdering(t *testing.T) {
 		t.Error("duplicate insert should report false")
 	}
 	// Visible only to strictly later stamps.
-	if got := s.Visible("s/1", Stamp{TS: 10, Node: 1, Seq: 1}, 0); len(got) != 0 {
+	if got := visible(s, "s/1", Stamp{TS: 10, Node: 1, Seq: 1}, 0); len(got) != 0 {
 		t.Error("visible at own stamp")
 	}
-	if got := s.Visible("s/1", Stamp{TS: 10, Node: 1, Seq: 2}, 0); len(got) != 1 {
+	if got := visible(s, "s/1", Stamp{TS: 10, Node: 1, Seq: 2}, 0); len(got) != 1 {
 		t.Error("not visible to later stamp")
 	}
-	if got := s.Visible("s/1", Stamp{TS: 9, Node: 9, Seq: 9}, 0); len(got) != 0 {
+	if got := visible(s, "s/1", Stamp{TS: 9, Node: 9, Seq: 9}, 0); len(got) != 0 {
 		t.Error("visible to earlier stamp")
 	}
 }
@@ -62,14 +68,14 @@ func TestWindowBound(t *testing.T) {
 	s := NewStore()
 	s.Insert(tup(1), Stamp{TS: 10, Node: 1, Seq: 1})
 	// Window 50: visible until TS < 60.
-	if got := s.Visible("s/1", Stamp{TS: 59, Node: 2}, 50); len(got) != 1 {
+	if got := visible(s, "s/1", Stamp{TS: 59, Node: 2}, 50); len(got) != 1 {
 		t.Error("should be inside window")
 	}
-	if got := s.Visible("s/1", Stamp{TS: 60, Node: 2}, 50); len(got) != 0 {
+	if got := visible(s, "s/1", Stamp{TS: 60, Node: 2}, 50); len(got) != 0 {
 		t.Error("should have slid out of window")
 	}
 	// Unbounded.
-	if got := s.Visible("s/1", Stamp{TS: 1e9, Node: 2}, 0); len(got) != 1 {
+	if got := visible(s, "s/1", Stamp{TS: 1e9, Node: 2}, 0); len(got) != 1 {
 		t.Error("unbounded window should keep it visible")
 	}
 }
@@ -82,11 +88,11 @@ func TestDeletionStampSemantics(t *testing.T) {
 	s.MarkDeleted("s/1", gen, del)
 	// An update between generation and deletion still sees the tuple
 	// (Theorem 3: "do not have a deletion-timestamp of less than τ").
-	if got := s.Visible("s/1", Stamp{TS: 20, Node: 2}, 0); len(got) != 1 {
+	if got := visible(s, "s/1", Stamp{TS: 20, Node: 2}, 0); len(got) != 1 {
 		t.Error("pre-deletion update must still see the tuple")
 	}
 	// An update after the deletion does not.
-	if got := s.Visible("s/1", Stamp{TS: 31, Node: 2}, 0); len(got) != 0 {
+	if got := visible(s, "s/1", Stamp{TS: 31, Node: 2}, 0); len(got) != 0 {
 		t.Error("post-deletion update must not see the tuple")
 	}
 }
@@ -98,13 +104,13 @@ func TestDeletionTombstoneBeforeInsert(t *testing.T) {
 	del := Stamp{TS: 30, Node: 1, Seq: 2}
 	s.MarkDeleted("s/1", gen, del)
 	// The tombstone alone never matches.
-	if got := s.Visible("s/1", Stamp{TS: 20, Node: 2}, 0); len(got) != 0 {
+	if got := visible(s, "s/1", Stamp{TS: 20, Node: 2}, 0); len(got) != 0 {
 		t.Error("tombstone matched")
 	}
 	s.Insert(tup(1), gen)
 	// Insert after tombstone: the deletion must stick. Note Insert keeps
 	// the first entry for the stamp (the tombstone), preserving Del.
-	if got := s.Visible("s/1", Stamp{TS: 40, Node: 2}, 0); len(got) != 0 {
+	if got := visible(s, "s/1", Stamp{TS: 40, Node: 2}, 0); len(got) != 0 {
 		t.Error("deletion lost after reordered insert")
 	}
 }
@@ -163,8 +169,8 @@ func TestVisibleDeterministicOrder(t *testing.T) {
 		s.Insert(tup(i), Stamp{TS: i, Node: 1, Seq: i})
 	}
 	tau := Stamp{TS: 100, Node: 2}
-	a := s.Visible("s/1", tau, 0)
-	b := s.Visible("s/1", tau, 0)
+	a := visible(s, "s/1", tau, 0)
+	b := visible(s, "s/1", tau, 0)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("iteration order not deterministic")

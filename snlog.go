@@ -187,9 +187,8 @@ func MagicRewrite(src, query string) (string, string, error) {
 	return tr.Program.String(), tr.AnswerPred, nil
 }
 
-// Options configures a deployment. Prefer the functional options
-// (WithScheme, WithLoss, ...) with Deploy; the struct remains exported
-// for the deprecated positional constructors.
+// Options configures a deployment. Deploy fills it from the
+// functional options (WithScheme, WithLoss, ...).
 type Options struct {
 	// Scheme is the GPA join scheme (default Perpendicular).
 	Scheme Scheme
@@ -213,9 +212,6 @@ type Options struct {
 	DefaultWindow int64
 	// Registry overrides the built-in registry.
 	Registry *Registry
-	// NaiveJoin disables the per-node argument-position indexes,
-	// retaining full-scan lookups (A/B benchmarking; results identical).
-	NaiveJoin bool
 	// Retries is the link-layer ARQ re-attempt budget per transmission.
 	Retries int
 	// BatchLinks coalesces same-link messages within the skew bound
@@ -275,9 +271,6 @@ func WithDefaultWindow(rng int64) Option { return func(o *Options) { o.DefaultWi
 
 // WithBuiltins overrides the built-in predicate/function registry.
 func WithBuiltins(reg *Registry) Option { return func(o *Options) { o.Registry = reg } }
-
-// WithNaiveJoin retains full-scan window stores (A/B benchmarking).
-func WithNaiveJoin() Option { return func(o *Options) { o.NaiveJoin = true } }
 
 // WithBatchLinks enables batched link transport.
 func WithBatchLinks() Option { return func(o *Options) { o.BatchLinks = true } }
@@ -397,7 +390,6 @@ func deploy(nw *nsim.Network, src string, opt Options) (*Cluster, error) {
 		BandWidth:     opt.BandWidth,
 		DefaultWindow: opt.DefaultWindow,
 		Registry:      opt.Registry,
-		NaiveJoin:     opt.NaiveJoin,
 		BatchLinks:    opt.BatchLinks,
 		ReplayLog:     opt.ReplayLog,
 	})
@@ -672,4 +664,4 @@ func GridID(m, p, q int) int { return int(topo.GridID(m, p, q)) }
 
 // NodeSym returns the default symbolic name of node id (used by
 // placement-based programs such as the shortest-path tree).
-func NodeSym(id int) Term { return ast.Symbol(fmt.Sprintf("n%d", id)) }
+func NodeSym(id int) Term { return core.NodeSym(nsim.NodeID(id)) }

@@ -59,9 +59,11 @@ bench-check: bench-sim bench-serve
 # Seconds-sized E16 variant: every serving-bench phase — cold, hot,
 # concurrent readers, churn, churn-batched — at CI scale, asserting the
 # structural properties (zero fallbacks, real coalescing, stale serves)
-# rather than wall-clock rates.
+# rather than wall-clock rates. The cache-miss benchmark runs once per
+# binding pattern so it keeps compiling and running.
 bench-serve-smoke:
 	$(GO) test -run 'TestServeBenchSmoke' -count=1 -v ./internal/experiments/servebench/
+	$(GO) test -run '^$$' -bench 'BenchmarkSessionMiss' -benchtime=1x -benchmem ./internal/serve/
 
 # End-to-end smoke of the serving stack: snlogd's exact wire surface —
 # open, query, cache hit, inject, delete, explain, subscribe, stats —

@@ -282,16 +282,16 @@ func (t Term) AppendKey(b []byte) []byte {
 		b = strconv.AppendFloat(b, t.Float, 'g', -1, 64)
 	case KindString:
 		b = append(b, 's')
-		b = strconv.AppendQuote(b, t.Str)
+		b = appendQuote(b, t.Str)
 	case KindSymbol:
 		b = append(b, 'a')
-		b = strconv.AppendQuote(b, t.Str)
+		b = appendQuote(b, t.Str)
 	case KindVar:
 		b = append(b, 'v')
 		b = append(b, t.Str...)
 	case KindCompound:
 		b = append(b, 'c')
-		b = strconv.AppendQuote(b, t.Str)
+		b = appendQuote(b, t.Str)
 		b = append(b, '(')
 		for i, a := range t.Args {
 			if i > 0 {
@@ -302,6 +302,20 @@ func (t Term) AppendKey(b []byte) []byte {
 		b = append(b, ')')
 	}
 	return b
+}
+
+// appendQuote is strconv.AppendQuote with a fast path for the common
+// key component: printable ASCII with no quote or backslash, which
+// AppendQuote copies verbatim between double quotes anyway.
+func appendQuote(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return strconv.AppendQuote(b, s)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // isArithOp reports whether functor is one of the infix arithmetic

@@ -3,6 +3,7 @@ package ast
 import (
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -264,6 +265,20 @@ func TestQuickKeyInjective(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Tuple keys are fixed byte for byte (routing hashes them), so the
+// quoting fast path must agree with strconv.AppendQuote everywhere.
+func TestAppendQuoteMatchesStrconv(t *testing.T) {
+	for _, s := range []string{"", "c7_3", "a b", `q"uote`, `back\slash`, "tab\t", "\x7f", "é", "~ !"} {
+		if got, want := string(appendQuote(nil, s)), strconv.Quote(s); got != want {
+			t.Errorf("appendQuote(%q) = %s, want %s", s, got, want)
+		}
+	}
+	f := func(s string) bool { return string(appendQuote(nil, s)) == strconv.Quote(s) }
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }

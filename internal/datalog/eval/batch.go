@@ -35,7 +35,10 @@ func (m *Maintainer) InsertBatch(ts []Tuple) ([]Change, error) {
 		return out, nil
 	}
 	queue := make([]Change, 0, len(ts))
-	for _, t := range ts {
+	for i, t := range ts {
+		if i == 0 || t.Pred != ts[i-1].Pred {
+			m.db.reserve(t.Pred, runLength(ts[i:]))
+		}
 		if m.db.Insert(t) { // duplicate base insertions are no-ops
 			queue = append(queue, Change{Tuple: t, Insert: true})
 		}
@@ -78,4 +81,14 @@ func (m *Maintainer) DeleteBatch(ts []Tuple) ([]Change, error) {
 		out = append(out, ch...)
 	}
 	return out, nil
+}
+
+// runLength counts the leading tuples of ts that share ts[0]'s
+// predicate.
+func runLength(ts []Tuple) int {
+	n := 1
+	for n < len(ts) && ts[n].Pred == ts[0].Pred {
+		n++
+	}
+	return n
 }

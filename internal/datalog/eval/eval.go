@@ -116,6 +116,14 @@ func (db *Database) Insert(t Tuple) bool {
 	return tab.insert(t.Keyed())
 }
 
+// reserve creates pred's table with room for n tuples when it does not
+// exist yet, so a batch load does not regrow it tuple by tuple.
+func (db *Database) reserve(pred string, n int) {
+	if db.tables[pred] == nil {
+		db.tables[pred] = &table{pos: make(map[string]int, n), slots: make([]slot, 0, n)}
+	}
+}
+
 // InsertNew adds t, which the caller guarantees is absent (the fixpoint
 // flush re-adds only tuples checked against db at derivation time).
 func (db *Database) InsertNew(t Tuple) {

@@ -94,6 +94,15 @@ type Maintainer struct {
 
 	stats MaintStats
 	ev    *Evaluator // reused for rule solving
+	probe probeScratch
+}
+
+// probeScratch holds the index-probe key buffers the pinned solvers
+// share. A probe hashes its key before the solver recurses, so nested
+// steps may overwrite the buffers.
+type probeScratch struct {
+	cols     []int
+	key, tmp []byte
 }
 
 // NewMaintainer prepares incremental maintenance for p in the given mode.
@@ -204,9 +213,10 @@ func (m *Maintainer) update(t Tuple, insert bool) ([]Change, error) {
 func (m *Maintainer) propagate(c Change) ([]Change, error) {
 	var out []Change
 	for _, r := range m.ruleIndex[c.Tuple.Pred] {
+		body := m.ev.keysOf(r).body
 		// Positive occurrences.
 		for i, l := range r.Body {
-			if l.Builtin || l.Negated || l.PredKey() != c.Tuple.Pred {
+			if l.Builtin || l.Negated || body[i] != c.Tuple.Pred {
 				continue
 			}
 			sols, err := m.solvePinned(r, i, c.Tuple, c.Insert)
@@ -229,7 +239,7 @@ func (m *Maintainer) propagate(c Change) ([]Change, error) {
 		// Negated occurrences: an insertion into S retracts derivations
 		// that relied on S's tuple being absent; a deletion enables them.
 		for i, l := range r.Body {
-			if l.Builtin || !l.Negated || l.PredKey() != c.Tuple.Pred {
+			if l.Builtin || !l.Negated || body[i] != c.Tuple.Pred {
 				continue
 			}
 			sols, err := m.solveNegPinned(r, i, c.Tuple)
@@ -366,8 +376,9 @@ func (m *Maintainer) runDRed(c0 Change) ([]Change, error) {
 			m.stats.CascadeSteps++
 			c := queue[qi]
 			for _, r := range sr.rules {
+				body := m.ev.keysOf(r).body
 				for i, l := range r.Body {
-					if l.Builtin || l.PredKey() != c.Tuple.Pred {
+					if l.Builtin || body[i] != c.Tuple.Pred {
 						continue
 					}
 					var sols []Solution
@@ -437,8 +448,9 @@ func (m *Maintainer) runDRed(c0 Change) ([]Change, error) {
 			m.stats.CascadeSteps++
 			c := insQueue[qi]
 			for _, r := range sr.rules {
+				body := m.ev.keysOf(r).body
 				for i, l := range r.Body {
-					if l.Builtin || l.PredKey() != c.Tuple.Pred {
+					if l.Builtin || body[i] != c.Tuple.Pred {
 						continue
 					}
 					var sols []Solution
@@ -549,29 +561,62 @@ func headMatch(r *ast.Rule, t Tuple) (unify.Subst, bool) {
 // insertion the pre-change table excludes t; on deletion the post-change
 // table must still include t (it has just been removed from db).
 func (m *Maintainer) solvePinned(r *ast.Rule, i int, t Tuple, insert bool) ([]Solution, error) {
+	body := m.ev.keysOf(r).body
+	if m.otherTableEmpty(r, body, i, t.Pred) {
+		return nil, nil
+	}
 	s0, ok := unify.MatchArgs(r.Body[i].Args, t.Args, unify.Subst{})
 	if !ok {
 		return nil, nil
 	}
-	exclude := make(map[int]string)
-	include := make(map[int]Tuple)
+	var exclude map[int]string
+	var include map[int]Tuple
 	for j, l := range r.Body {
-		if j == i || l.Builtin || l.Negated || l.PredKey() != t.Pred {
+		if j == i || l.Builtin || l.Negated || body[j] != t.Pred {
 			continue
 		}
 		if insert && j < i {
+			if exclude == nil {
+				exclude = make(map[int]string)
+			}
 			exclude[j] = t.Key() // pre-change table: without t
 		}
 		if !insert && j > i {
+			if include == nil {
+				include = make(map[int]Tuple)
+			}
 			include[j] = t // post-change table at time of derivation: with t
 		}
 	}
 	return m.solveWith(r, i, s0, i, t, exclude, include)
 }
 
+// otherTableEmpty reports whether a positive body literal of r, other
+// than subgoal skip and other than an occurrence of predicate pinned,
+// reads an empty table. Such a body has no solution, so the pinned
+// solvers return before matching anything. This is what makes loading a
+// magic-rewritten program's base facts before its magic seed cheap:
+// every magic-guarded rule stops here while its guard table is empty.
+// Occurrences of the pinned predicate are left out because the delta
+// semantics of solvePinned may still add the changed tuple to them.
+func (m *Maintainer) otherTableEmpty(r *ast.Rule, body []string, skip int, pinned string) bool {
+	for j, l := range r.Body {
+		if j == skip || l.Builtin || l.Negated || body[j] == pinned {
+			continue
+		}
+		if tab := m.db.tables[body[j]]; tab == nil || tab.live() == 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // solveNegPinned solves r's positive body with negated subgoal i pinned
 // to match t, skipping that subgoal's absence check.
 func (m *Maintainer) solveNegPinned(r *ast.Rule, i int, t Tuple) ([]Solution, error) {
+	if m.otherTableEmpty(r, m.ev.keysOf(r).body, i, "") {
+		return nil, nil
+	}
 	s0, ok := unify.MatchArgs(r.Body[i].Args, t.Args, unify.Subst{})
 	if !ok {
 		return nil, nil
@@ -585,8 +630,8 @@ func (m *Maintainer) solveNegPinned(r *ast.Rule, i int, t Tuple) ([]Solution, er
 func (m *Maintainer) solveWith(r *ast.Rule, skip int, s0 unify.Subst, pinIdx int, pin Tuple, exclude map[int]string, include map[int]Tuple) ([]Solution, error) {
 	var out []Solution
 	st := &pinnedSolver{
-		ev: m.ev, db: m.db, r: r, skip: skip,
-		exclude: exclude, include: include, out: &out,
+		ev: m.ev, db: m.db, r: r, body: m.ev.keysOf(r).body, skip: skip,
+		exclude: exclude, include: include, out: &out, probe: &m.probe,
 	}
 	var used []posTuple
 	if pinIdx >= 0 {
@@ -608,10 +653,12 @@ type pinnedSolver struct {
 	ev      *Evaluator
 	db      *Database
 	r       *ast.Rule
+	body    []string // cached body predicate keys of r
 	skip    int
 	exclude map[int]string
 	include map[int]Tuple
 	out     *[]Solution
+	probe   *probeScratch
 }
 
 func (st *pinnedSolver) step(i int, s unify.Subst, deferred []ast.Literal, used []posTuple) error {
@@ -668,7 +715,7 @@ func (st *pinnedSolver) step(i int, s unify.Subst, deferred []ast.Literal, used 
 	// probe when argument positions are bound), honoring the per-index
 	// table adjustments. The include tuple — present at derivation time
 	// but absent from the current table — is examined last.
-	tab := st.db.tables[l.PredKey()]
+	tab := st.db.tables[st.body[i]]
 	excl := st.exclude[i]
 	scan := func(t Tuple) error {
 		st.ev.ScanOps++
@@ -682,8 +729,10 @@ func (st *pinnedSolver) step(i int, s unify.Subst, deferred []ast.Literal, used 
 	if tab != nil {
 		probed := false
 		if !st.ev.opts.NaiveJoin {
-			if cols, key := BoundCols(l.Args, s); len(cols) > 0 {
-				it := tab.index(cols).probeString(key)
+			p := st.probe
+			p.cols, p.key, p.tmp = AppendBoundCols(p.cols, p.key, p.tmp, l.Args, s)
+			if len(p.cols) > 0 {
+				it := tab.index(p.cols).probe(p.key)
 				for si, ok := it.nextSlot(); ok; si, ok = it.nextSlot() {
 					sl := tab.slots[si]
 					if sl.dead || sl.t.Key() == excl {

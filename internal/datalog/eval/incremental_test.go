@@ -347,3 +347,61 @@ func TestMaintainerRejectsAggregates(t *testing.T) {
 		t.Fatal("aggregates should be rejected")
 	}
 }
+
+// The pinned solvers skip a rule whose other positive subgoal reads an
+// empty table, but a deletion's delta still offers the deleted tuple to
+// later occurrences of its own predicate: deleting the only tuple of a
+// self-join must retract the derivation that joined it with itself.
+func TestDeleteLastSelfJoinTuple(t *testing.T) {
+	for _, mode := range []Mode{SetOfDerivations, Counting, Rederivation} {
+		t.Run(mode.String(), func(t *testing.T) {
+			m := newMaint(t, "loop(X) :- e(X, Y), e(Y, X).\n", mode)
+			e := NewTuple("e", ast.Symbol("a"), ast.Symbol("a"))
+			if _, err := m.Insert(e); err != nil {
+				t.Fatal(err)
+			}
+			if m.DB().Count("loop/1") != 1 {
+				t.Fatal("setup: loop(a) expected")
+			}
+			if _, err := m.Delete(e); err != nil {
+				t.Fatal(err)
+			}
+			if n := m.DB().Count("loop/1"); n != 0 {
+				t.Errorf("loop/1 holds %d tuples after deleting e(a, a), want 0", n)
+			}
+		})
+	}
+}
+
+// Loading base facts before the magic guard that every rule reads skips
+// each rule without a join, and inserting the guard afterwards derives
+// what inserting it first would have.
+func TestEmptyGuardSkipsRules(t *testing.T) {
+	src := "p(X, Y) :- g(X), e(X, Y).\n"
+	first := newMaint(t, src, SetOfDerivations)
+	last := newMaint(t, src, SetOfDerivations)
+	var es []Tuple
+	for i := 0; i < 50; i++ {
+		es = append(es, NewTuple("e", ast.Int64(int64(i%5)), ast.Int64(int64(i))))
+	}
+	guard := NewTuple("g", ast.Int64(3))
+	if _, err := first.Insert(guard); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.InsertBatch(es); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := last.InsertBatch(es); err != nil {
+		t.Fatal(err)
+	}
+	if st := last.Stats(); st.JoinOps != 0 || st.ScanOps != 0 {
+		t.Errorf("loading under an empty guard did %d joins, %d scans; want none", st.JoinOps, st.ScanOps)
+	}
+	if _, err := last.Insert(guard); err != nil {
+		t.Fatal(err)
+	}
+	a, b := first.DB().Tuples("p/2"), last.DB().Tuples("p/2")
+	if len(a) != 10 || fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Errorf("guard first derived %v, guard last %v", a, b)
+	}
+}

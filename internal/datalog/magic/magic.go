@@ -4,11 +4,26 @@
 // relevant to the query's bound arguments are derived.
 //
 // The transformation adorns derived predicates with b/f (bound/free)
-// argument patterns using left-to-right sideways information passing,
-// introduces magic predicates carrying binding tuples, and seeds them
-// from the query constants. Predicates reached through negation are kept
-// unadorned (evaluated fully), which keeps the rewrite sound for
-// stratified programs.
+// argument patterns, introduces magic predicates carrying binding
+// tuples, and seeds them from the query constants. Predicates reached
+// through negation are kept unadorned (evaluated fully), which keeps the
+// rewrite sound for stratified programs.
+//
+// Bindings pass sideways in bound-first order, not left to right: each
+// rule body is adorned by repeatedly taking the positive relational
+// literal with the most bound arguments (lowest body index on ties, the
+// rule analysis/sip.go ranks join order by), starting from the head's
+// bound variables. A builtin or negated literal is placed right after
+// every positive literal that precedes it in source order, so its
+// variables are at least as bound as they were in the source. The order
+// decides which adornments exist: for
+//
+//	reach(X, Z) :- reach(X, Y), link(Y, Z).
+//
+// the goal reach(X, c) binds Z, so link(Y, Z) goes first, binds Y, and
+// the recursive call becomes reach_fb with the magic rule
+// m_reach_fb(Y) :- m_reach_fb(Z), link(Y, Z) — a walk back from c —
+// instead of a reach_ff call that derives the whole closure.
 package magic
 
 import (
@@ -135,7 +150,9 @@ func (t *transformer) adornPredicate(pred string, arity int, ad string) error {
 	return nil
 }
 
-// adornRule rewrites one rule under a head adornment.
+// adornRule rewrites one rule under a head adornment, visiting the body
+// in bound-first order (see the package comment). The rewritten body
+// lists the literals in that order after the magic guard.
 func (t *transformer) adornRule(r *ast.Rule, ad string) error {
 	head := r.Head
 	// Bound variables: those in bound head argument positions.
@@ -143,9 +160,7 @@ func (t *transformer) adornRule(r *ast.Rule, ad string) error {
 	var magicArgs []ast.Term
 	for i, a := range head.Args {
 		if i < len(ad) && ad[i] == 'b' {
-			for _, v := range a.Vars(nil) {
-				bound[v] = true
-			}
+			markBound(a.Vars(nil), bound)
 			magicArgs = append(magicArgs, a)
 		}
 	}
@@ -153,80 +168,112 @@ func (t *transformer) adornRule(r *ast.Rule, ad string) error {
 	magicLit := ast.Lit(magicName(head.Predicate, ad), magicArgs...)
 
 	var newBody []ast.Literal
-	if len(ad) > 0 && strings.ContainsRune(ad, 'b') {
+	if strings.ContainsRune(ad, 'b') {
 		newBody = append(newBody, magicLit)
 	}
-	// prefix accumulates the subgoals preceding the current one (for
-	// magic-rule bodies): magic literal plus processed subgoals.
-	prefix := make([]ast.Literal, len(newBody))
-	copy(prefix, newBody)
-
-	for _, l := range r.Body {
-		if l.Builtin {
-			newBody = append(newBody, l)
-			prefix = append(prefix, l)
-			// = / is bind their variables for adornment purposes.
-			if !l.Negated && (l.Predicate == "=" || l.Predicate == "is") {
-				lv := l.Args[0].Vars(nil)
-				rv := l.Args[1].Vars(nil)
-				if allBound(lv, bound) {
-					markBound(rv, bound)
-				}
-				if allBound(rv, bound) {
-					markBound(lv, bound)
-				}
-			}
-			continue
-		}
-		if l.Negated {
-			// Negated subgoals are evaluated against the fully-computed
-			// original predicate.
-			if t.src.IsDerived(l.PredKey()) {
-				if err := t.copyFull(l.PredKey()); err != nil {
-					return err
-				}
-			}
-			newBody = append(newBody, l)
-			prefix = append(prefix, l)
-			continue
-		}
-		// Positive relational subgoal.
-		if !t.src.IsDerived(l.PredKey()) {
-			newBody = append(newBody, l)
-			prefix = append(prefix, l)
-			markBound(l.Vars(nil), bound)
-			continue
-		}
-		// Derived: adorn by current bindings.
-		var subAd strings.Builder
-		var subMagicArgs []ast.Term
-		for _, a := range l.Args {
-			if allBound(a.Vars(nil), bound) {
-				subAd.WriteByte('b')
-				subMagicArgs = append(subMagicArgs, a)
-			} else {
-				subAd.WriteByte('f')
-			}
-		}
-		sa := subAd.String()
-		if strings.ContainsRune(sa, 'b') {
-			// Magic rule: m_q_sa(boundArgs) :- prefix.
-			mr := &ast.Rule{
-				Head: ast.Lit(magicName(l.Predicate, sa), subMagicArgs...),
-				Body: append([]ast.Literal(nil), prefix...),
-			}
-			t.out.AddRule(mr)
-		}
-		al := ast.Literal{Predicate: adornedName(l.Predicate, sa), Args: l.Args}
-		newBody = append(newBody, al)
-		prefix = append(prefix, al)
-		markBound(l.Vars(nil), bound)
-		if err := t.adornPredicate(l.Predicate, len(l.Args), sa); err != nil {
+	placed := make([]bool, len(r.Body))
+	for i := nextLiteral(r.Body, placed, bound); i >= 0; i = nextLiteral(r.Body, placed, bound) {
+		placed[i] = true
+		lit, err := t.adornLiteral(r.Body[i], bound, newBody)
+		if err != nil {
 			return err
 		}
+		newBody = append(newBody, lit)
 	}
 	t.out.AddRule(&ast.Rule{Head: newHead, Body: newBody, Line: r.Line})
 	return nil
+}
+
+// nextLiteral returns the body literal to adorn next, or -1 when every
+// literal is placed: a builtin or negated literal as soon as every
+// positive literal before it in source order is placed, otherwise the
+// unplaced positive relational literal with the most fully bound
+// arguments, lowest index on ties.
+func nextLiteral(body []ast.Literal, placed []bool, bound map[string]bool) int {
+	for i, l := range body {
+		if placed[i] {
+			continue
+		}
+		if l.Builtin || l.Negated {
+			return i
+		}
+		break
+	}
+	best, bestScore := -1, -1
+	for i, l := range body {
+		if placed[i] || l.Builtin || l.Negated {
+			continue
+		}
+		score := 0
+		for _, a := range l.Args {
+			if allBound(a.Vars(nil), bound) {
+				score++
+			}
+		}
+		if score > bestScore {
+			best, bestScore = i, score
+		}
+	}
+	return best
+}
+
+// adornLiteral rewrites one body literal given the variables bound so
+// far and the rewritten literals placed before it (the prefix a magic
+// rule for it is built from), then marks the variables it binds. It
+// returns the literal to place in the rewritten body.
+func (t *transformer) adornLiteral(l ast.Literal, bound map[string]bool, prefix []ast.Literal) (ast.Literal, error) {
+	if l.Builtin {
+		// = / is bind their variables for adornment purposes.
+		if !l.Negated && (l.Predicate == "=" || l.Predicate == "is") {
+			lv := l.Args[0].Vars(nil)
+			rv := l.Args[1].Vars(nil)
+			if allBound(lv, bound) {
+				markBound(rv, bound)
+			}
+			if allBound(rv, bound) {
+				markBound(lv, bound)
+			}
+		}
+		return l, nil
+	}
+	if l.Negated {
+		// Negated subgoals are evaluated against the fully-computed
+		// original predicate.
+		if t.src.IsDerived(l.PredKey()) {
+			if err := t.copyFull(l.PredKey()); err != nil {
+				return l, err
+			}
+		}
+		return l, nil
+	}
+	if !t.src.IsDerived(l.PredKey()) {
+		markBound(l.Vars(nil), bound)
+		return l, nil
+	}
+	// Derived: adorn by current bindings.
+	var subAd strings.Builder
+	var subMagicArgs []ast.Term
+	for _, a := range l.Args {
+		if allBound(a.Vars(nil), bound) {
+			subAd.WriteByte('b')
+			subMagicArgs = append(subMagicArgs, a)
+		} else {
+			subAd.WriteByte('f')
+		}
+	}
+	sa := subAd.String()
+	if strings.ContainsRune(sa, 'b') {
+		// Magic rule: m_q_sa(boundArgs) :- prefix.
+		t.out.AddRule(&ast.Rule{
+			Head: ast.Lit(magicName(l.Predicate, sa), subMagicArgs...),
+			Body: append([]ast.Literal(nil), prefix...),
+		})
+	}
+	markBound(l.Vars(nil), bound)
+	if err := t.adornPredicate(l.Predicate, len(l.Args), sa); err != nil {
+		return l, err
+	}
+	return ast.Literal{Predicate: adornedName(l.Predicate, sa), Args: l.Args}, nil
 }
 
 // copyFull copies pred's original rules (and transitively everything it

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"repro/internal/datalog/ast"
+	"repro/internal/datalog/eval"
 )
 
 // cone is the extensional dependency cone of a derived predicate: the
@@ -18,21 +19,33 @@ import (
 //
 // A predicate can be in both (one positive path, one negative path);
 // neg wins for deletions.
+//
+// facts is the slice of the session's base-fact ledger the cone reads
+// (tuples of pos or neg predicates), in tuple-key order: a cache miss
+// loads it into its evaluator as is, with no filtering or sorting.
 type cone struct {
-	pos map[string]bool
-	neg map[string]bool
+	pos   map[string]bool
+	neg   map[string]bool
+	facts []eval.Tuple
 }
 
 // coneOf looks up the precomputed cone for a goal predicate. Open
-// builds a cone for every derived predicate, and goals are validated
-// to be derived, so the map is read-only after Open — safe for any
-// number of concurrent readers with no lock. The fresh build is a
-// belt-and-braces fallback (never shared, so still race-free).
-func (s *Session) coneOf(pred string) *cone {
-	if c, ok := s.cones[pred]; ok {
-		return c
+// builds a cone for every derived predicate, and core.ParseGoal admits
+// only derived goals, so the lookup always hits. The map is read-only
+// after Open — safe for any number of concurrent readers with no lock;
+// the write phase replaces each cone's facts only while it holds the
+// session lock exclusively, so callers hold mu (shared is enough).
+func (s *Session) coneOf(pred string) *cone { return s.cones[pred] }
+
+// filter returns the ledger facts the cone reads, keeping their order.
+func (c *cone) filter(ledger []eval.Tuple) []eval.Tuple {
+	var out []eval.Tuple
+	for _, t := range ledger {
+		if c.pos[t.Pred] || c.neg[t.Pred] {
+			out = append(out, t)
+		}
 	}
-	return buildCone(s.prog, pred)
+	return out
 }
 
 // buildCone walks the rule graph from root, tracking negation taint.

@@ -61,10 +61,14 @@ const (
 // The result cache is split into cacheShards independently locked
 // shards (canonical-goal hash partitioned), and each subscription
 // channel holds subscribeBuffer updates; a full subscriber drops
-// updates and counts them under serve.subs.dropped.
+// updates and counts them under serve.subs.dropped. A write to a
+// recursive predicate fans out many updates (about 16 reach/2 deltas
+// per write on the serve-churn chain), so 1024 updates — 64 KiB of
+// 64-byte Updates per subscription — absorb a flush of some 60 writes
+// after a reader stall.
 const (
 	cacheShards     = 8
-	subscribeBuffer = 64
+	subscribeBuffer = 1024
 )
 
 // Options configures a serving session.
@@ -182,7 +186,9 @@ type Session struct {
 
 	cache *shardedCache
 	// cones is built once at Open for every derived predicate and
-	// read-only afterwards, so concurrent readers need no lock.
+	// read-only afterwards, so concurrent readers need no lock; each
+	// cone's facts (its slice of edb) is replaced while mu is held
+	// exclusively.
 	cones map[string]*cone
 
 	subs     map[int]*Subscription
@@ -477,8 +483,14 @@ func (s *Session) flushLocked(reason int) int64 {
 	if len(ops) == 0 {
 		return s.lastEnd.Load()
 	}
+	changed := false
 	for _, op := range s.elideRedundant(ops) {
-		s.applyLocked(op)
+		if s.applyLocked(op) {
+			changed = true
+		}
+	}
+	if changed {
+		s.indexLedger()
 	}
 	s.batchFlushes.Inc()
 	s.flushReasons[reason].Inc()
@@ -539,8 +551,9 @@ func (s *Session) elideRedundant(ops []writeOp) []writeOp {
 }
 
 // applyLocked replays one buffered write against the cluster, the
-// ledger and the cache. Caller holds mu exclusively.
-func (s *Session) applyLocked(op writeOp) {
+// ledger and the cache, and reports whether the ledger changed. Caller
+// holds mu exclusively.
+func (s *Session) applyLocked(op writeOp) bool {
 	var err error
 	switch op.kind {
 	case opInsert:
@@ -555,21 +568,38 @@ func (s *Session) applyLocked(op writeOp) {
 		// same immutable program and topology. Count it rather than
 		// lose it silently.
 		s.applyErrors.Inc()
-		return
+		return false
 	}
+	key := op.tuple.Key()
+	_, had := s.edb[key]
 	if op.kind == opDeleteAt {
-		delete(s.edb, op.tuple.Key())
+		delete(s.edb, key)
 		// A deletion can only remove answers in the positive cone —
 		// only entries whose provenance subtree contains the tuple are
 		// touched — but under negation it can create answers, so
 		// negation-tainted cones evict predicate-wide.
-		s.cache.baseDeleted(op.tuple.Pred, op.tuple.Key())
-	} else {
-		s.edb[op.tuple.Key()] = op.tuple
-		// Lock-step with the store: a new base fact can create answers
-		// in its positive cone and destroy them under negation — evict
-		// every entry whose cone contains the predicate.
-		s.cache.baseInserted(op.tuple.Pred)
+		s.cache.baseDeleted(op.tuple.Pred, key)
+		return had
+	}
+	s.edb[key] = op.tuple
+	// Lock-step with the store: a new base fact can create answers
+	// in its positive cone and destroy them under negation — evict
+	// every entry whose cone contains the predicate.
+	s.cache.baseInserted(op.tuple.Pred)
+	return !had
+}
+
+// indexLedger rebuilds every cone's key-ordered slice of edb after a
+// batch that changed it, so cache misses never filter or sort. Caller
+// holds mu exclusively.
+func (s *Session) indexLedger() {
+	ledger := make([]eval.Tuple, 0, len(s.edb))
+	for _, t := range s.edb {
+		ledger = append(ledger, t)
+	}
+	sort.Slice(ledger, func(i, j int) bool { return ledger[i].Key() < ledger[j].Key() })
+	for _, cn := range s.cones {
+		cn.facts = cn.filter(ledger)
 	}
 }
 
@@ -929,7 +959,16 @@ func (s *Session) runLocked() int64 {
 // evaluate answers the goal by magic-set rewriting the program and
 // evaluating the rewritten program over the live base facts with the
 // set-of-derivations maintainer, so each answer's proof tree yields
-// the base-fact support set the cache invalidates on. Falls back to
+// the base-fact support set the cache invalidates on.
+//
+// The cone's base facts are loaded first, as one batch, and the magic
+// seed second. While the facts load, every magic-guarded rule reads an
+// empty guard table, so the maintainer skips it without matching
+// anything; the seed then derives only the goal's magic cone. The
+// result is exact either way round: set-of-derivations maintenance
+// under insertions alone ends in the same database and derivation sets
+// for any insertion order, so answers and proof trees do not depend on
+// the order. Falls back to
 // filtering the engine's derived state (predicate-level cache
 // precision) when the rewrite or the maintainer cannot handle the
 // program — aggregates, derivation cycles. Runs in the read phase:
@@ -977,26 +1016,16 @@ func (s *Session) evaluate(lit ast.Literal, qt *qtrace) (answers []eval.Tuple, s
 	if mErr != nil {
 		return s.fallback(lit, qt)
 	}
+	if _, insErr := m.InsertBatch(cn.facts); insErr != nil {
+		return s.fallback(lit, qt)
+	}
 	for _, seed := range seeds {
 		if _, insErr := m.Insert(seed); insErr != nil {
 			return s.fallback(lit, qt)
 		}
 	}
-	// Feed the relevant slice of the ledger in deterministic order.
-	keys := make([]string, 0, len(s.edb))
-	for k, t := range s.edb {
-		if cn.pos[t.Pred] || cn.neg[t.Pred] {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if _, insErr := m.Insert(s.edb[k]); insErr != nil {
-			return s.fallback(lit, qt)
-		}
-	}
 	st := m.Stats()
-	s.evalIns.Add(int64(len(keys)))
+	s.evalIns.Add(int64(len(cn.facts)))
 	s.evalJoins.Add(st.JoinOps)
 	s.evalSteps.Add(st.CascadeSteps)
 

@@ -327,6 +327,41 @@ func TestSubscribeDelivery(t *testing.T) {
 	}
 }
 
+// One flush that changes 200 derived tuples reaches a subscriber that
+// is not reading during the flush: every update fits the subscription
+// buffer and none is dropped.
+func TestSubscribeFlushBurstNoDrops(t *testing.T) {
+	s := openSession(t, reachSrc, Options{BatchSize: 512, BatchDelay: -1})
+	sub, err := s.Subscribe("reach/2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	const burst = 200
+	for i := 0; i < burst; i++ {
+		if err := s.Inject(i%9, link(fmt.Sprintf("u%d", i), fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Snapshot().Get("serve.batch.flushes"); got != 1 {
+		t.Fatalf("flushes = %d, want one flush for the burst", got)
+	}
+	if d := s.Snapshot().Get("serve.subs.dropped"); d != 0 {
+		t.Fatalf("serve.subs.dropped = %d, want 0", d)
+	}
+	if n := len(sub.C()); n != burst {
+		t.Fatalf("subscriber holds %d updates, want %d", n, burst)
+	}
+	for i := 0; i < burst; i++ {
+		if u := <-sub.C(); !u.Insert || u.Tuple.Pred != "reach/2" {
+			t.Fatalf("update %d = %+v, want a reach/2 insertion", i, u)
+		}
+	}
+}
+
 func TestCacheDisabledStillCorrect(t *testing.T) {
 	s := openSession(t, reachSrc, Options{CacheSize: -1})
 	if err := s.Inject(0, link("a", "b")); err != nil {
